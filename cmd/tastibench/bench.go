@@ -19,7 +19,7 @@ import (
 
 // The benchmark suite mirrors the shapes of internal/core's
 // BenchmarkBuildParallel and BenchmarkPropagateParallel at workers=1, so a
-// committed baseline (BENCH_10.json) stays comparable with `go test -bench`
+// committed baseline (BENCH_12.json) stays comparable with `go test -bench`
 // output while being runnable from the built binary, and adds the streaming
 // write path (WAL append with fsync, index AppendRecords). cmd/benchgate
 // compares two of these reports.
@@ -36,15 +36,11 @@ type BenchResult struct {
 // so perf numbers are attributable to the code path that produced them —
 // cmd/benchgate ignores it, humans comparing reports should not.
 type BenchReport struct {
-	GoVersion string `json:"go_version"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-	Kernel    string `json:"kernel"`
-	// QuantBytesPerRecord is the quantized scan plane's resident bytes per
-	// record (the embedding dim — 1 code byte per element), against the
-	// 8x-larger float64 rows. Informational like Kernel; benchgate ignores it.
-	QuantBytesPerRecord float64                `json:"quant_bytes_per_record"`
-	Benchmarks          map[string]BenchResult `json:"benchmarks"`
+	GoVersion  string                 `json:"go_version"`
+	GOARCH     string                 `json:"goarch"`
+	NumCPU     int                    `json:"num_cpu"`
+	Kernel     string                 `json:"kernel"`
+	Benchmarks map[string]BenchResult `json:"benchmarks"`
 }
 
 // runBenchSuite runs the suite and writes the report to path atomically.
@@ -91,36 +87,12 @@ func runBenchSuite(path string) error {
 		}
 	})
 
-	// The candidate-generation scan itself, exact vs quantized, over the
-	// same corpus and representative set: rebuild the min-k table at
-	// workers=1. exact_scan_w1 streams the float64 rows through the batch
-	// kernels; quant_scan_w1 streams the uint8 code plane and reranks bound
-	// survivors exactly — identical output, 8x less memory traffic.
-	reps8 := ix.Table.Reps
-	k8 := ix.Table.K
+	// The candidate-generation scan itself over the same corpus and
+	// representative set: rebuild the min-k table at workers=1, streaming
+	// the float64 rows through the batch kernels.
 	rep.Benchmarks["exact_scan_w1"] = runBench(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cluster.BuildTablePar(ix.Embeddings, reps8, k8, 1)
-		}
-	})
-	qcfg := core.PretrainedConfig(800, 2)
-	qcfg.Quantize = true
-	qix, err := core.Build(qcfg, propDS, propLab)
-	if err != nil {
-		return fmt.Errorf("building quantized propagation index: %w", err)
-	}
-	qix.SetParallelism(1)
-	rep.QuantBytesPerRecord = float64(qix.Quant.Bytes()) / float64(qix.Quant.Rows())
-	rep.Benchmarks["quant_scan_w1"] = runBench(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cluster.BuildTableQuantPar(qix.Embeddings, qix.Quant, reps8, k8, 1)
-		}
-	})
-	rep.Benchmarks["propagate_quant_w1"] = runBench(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := qix.Propagate(score); err != nil {
-				b.Fatal(err)
-			}
+			cluster.BuildTablePar(ix.Embeddings, ix.Table.Reps, ix.Table.K, 1)
 		}
 	})
 

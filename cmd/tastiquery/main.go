@@ -46,10 +46,9 @@ type runOptions struct {
 	load   string
 	errTgt float64
 	recall float64
-	useANN   bool
-	quantize bool
-	par      int
-	shards   int
+	useANN bool
+	par    int
+	shards int
 
 	retries        int
 	labelTimeout   time.Duration
@@ -78,7 +77,6 @@ func main() {
 	flag.Float64Var(&o.errTgt, "err", 0.05, "aggregation error target")
 	flag.Float64Var(&o.recall, "recall", 0.9, "selection recall target")
 	flag.BoolVar(&o.useANN, "ann", false, "build the distance table with the IVF approximate-NN index")
-	flag.BoolVar(&o.quantize, "quantize", false, "build the int8 quantized scan plane: 8x smaller candidate scans with exact rerank, bitwise-identical results")
 	flag.IntVar(&o.par, "parallelism", 0, "worker count for index construction and propagation (<= 0 uses all CPUs; results are identical at every value)")
 	flag.IntVar(&o.shards, "shards", 1, "scatter-gather shard count for query processing; results are bitwise identical at every value (<= 1 serves one shard)")
 	flag.IntVar(&o.retries, "retries", 1, "labeler attempts per call, including the first (<= 1 disables retrying)")
@@ -246,7 +244,6 @@ func writeTrace(tr *tasti.Trace, path string) error {
 func buildIndex(o runOptions, ds *tasti.Dataset, target tasti.Labeler, parent *tasti.Span) (*tasti.Index, error) {
 	cfg := indexConfig(o.dsName, o.train, o.reps, o.seed)
 	cfg.ApproxTable = o.useANN
-	cfg.Quantize = o.quantize
 	cfg.Parallelism = o.par
 	cfg.LabelTimeout = o.labelTimeout
 	cfg.AllowDegraded = o.allowDegraded

@@ -246,17 +246,10 @@ type healthSnapshot struct {
 	WAL        *walHealth   `json:"wal,omitempty"`
 }
 
-// memoryHealth reports the resident scan-plane memory: the float64 embedding
-// matrix, the uint8 quantized code plane (zero without -quantize), how much
-// smaller the plane the candidate scans stream is, and the live rerank rate —
-// the fraction of code-plane candidates whose pruning bound could not exclude
-// them, so they were recomputed exactly against the float rows.
+// memoryHealth reports the resident scan-plane memory: the float64
+// embedding rows every candidate-generation scan streams.
 type memoryHealth struct {
-	Quantized        bool    `json:"quantized"`
-	FloatBytes       int64   `json:"embedding_float_bytes"`
-	QuantBytes       int64   `json:"embedding_quant_bytes"`
-	CompressionRatio float64 `json:"compression_ratio,omitempty"`
-	RerankRate       float64 `json:"quant_rerank_rate,omitempty"`
+	FloatBytes int64 `json:"embedding_float_bytes"`
 }
 
 type driftHealth struct {
@@ -298,18 +291,9 @@ func (s *server) collectHealth(ctx context.Context) (*healthSnapshot, error) {
 		RadiusP50:  qs[0],
 		RadiusP90:  qs[1],
 		RadiusP99:  qs[2],
-	}
-	mem := ix.MemoryStats()
-	h.Memory = memoryHealth{
-		Quantized:        mem.Quantized(),
-		FloatBytes:       mem.FloatBytes,
-		QuantBytes:       mem.QuantBytes,
-		CompressionRatio: mem.CompressionRatio(),
+		Memory:     memoryHealth{FloatBytes: ix.EmbeddingBytes()},
 	}
 	s.release()
-	if cands := s.reg.Counter("tasti_quant_candidates_total").Value(); cands > 0 {
-		h.Memory.RerankRate = float64(s.reg.Counter("tasti_quant_rerank_total").Value()) / float64(cands)
-	}
 
 	if s.drift != nil {
 		h.Drift = &driftHealth{
@@ -337,7 +321,6 @@ func (s *server) collectHealth(ctx context.Context) (*healthSnapshot, error) {
 	s.reg.Gauge("tasti_shard_record_skew").Set(h.RecordSkew)
 	s.reg.Gauge("tasti_shard_rep_skew").Set(h.RepSkew)
 	s.reg.Gauge(`tasti_scan_plane_bytes{plane="float"}`).Set(float64(h.Memory.FloatBytes))
-	s.reg.Gauge(`tasti_scan_plane_bytes{plane="quant"}`).Set(float64(h.Memory.QuantBytes))
 	s.reg.Gauge(`tasti_index_radius{quantile="p50"}`).Set(h.RadiusP50)
 	s.reg.Gauge(`tasti_index_radius{quantile="p90"}`).Set(h.RadiusP90)
 	s.reg.Gauge(`tasti_index_radius{quantile="p99"}`).Set(h.RadiusP99)

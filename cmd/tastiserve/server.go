@@ -32,12 +32,6 @@ type serverOptions struct {
 	// bitwise identical at every shard count; the knob trades per-shard
 	// build, snapshot, and reload granularity. See docs/SHARDING.md.
 	shards int
-	// quantize builds the uint8 quantized scan plane: candidate-generation
-	// scans stream 1-byte codes instead of float64 rows and rerank bound
-	// survivors exactly, so results stay bitwise identical while the scanned
-	// plane shrinks 8x. Persisted in the snapshot; /admin/status reports the
-	// resident bytes and live rerank rate.
-	quantize bool
 
 	// queryTimeout bounds each /query/ request end to end (0 = unbounded).
 	queryTimeout time.Duration
@@ -451,7 +445,6 @@ func (s *server) buildIndex() error {
 		cfg.Retry = opts.retry
 		cfg.LabelTimeout = opts.labelTimeout
 		cfg.AllowDegraded = opts.allowDegraded
-		cfg.Quantize = opts.quantize
 		cfg.Telemetry = s.reg
 		built, err := tasti.Build(cfg, ds, base)
 		if err != nil {

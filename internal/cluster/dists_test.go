@@ -143,3 +143,18 @@ func TestDistCacheFits(t *testing.T) {
 		}
 	}
 }
+
+// TestDistCacheFitsPlane pins the deprecated wrapper to DistCacheFits at
+// either plane flag: with one float plane the flag no longer changes the
+// cache decision.
+func TestDistCacheFitsPlane(t *testing.T) {
+	for _, tc := range []struct{ n, k, dim int }{
+		{1000, 100, 128}, {1000, 113, 128}, {1 << 20, 1 << 20, 128}, {1 << 22, 1 << 10, 1 << 20},
+	} {
+		for _, quantized := range []bool{false, true} {
+			if got, want := DistCacheFitsPlane(tc.n, tc.k, tc.dim, quantized), DistCacheFits(tc.n, tc.k); got != want {
+				t.Errorf("DistCacheFitsPlane(%d, %d, %d, %v) = %v, DistCacheFits %v", tc.n, tc.k, tc.dim, quantized, got, want)
+			}
+		}
+	}
+}

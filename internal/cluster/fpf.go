@@ -246,6 +246,12 @@ func DistCacheFits(n, k int) bool {
 	return k <= maxDistCacheBytes/8/n
 }
 
+// DistCacheFitsPlane is DistCacheFits; the dim and plane arguments are
+// ignored now that every build scans the one float plane.
+//
+// Deprecated: use DistCacheFits.
+func DistCacheFitsPlane(n, k, _ int, _ bool) bool { return DistCacheFits(n, k) }
+
 // RandomReps selects k distinct representatives uniformly at random, the
 // baseline the paper's lesion study compares FPF clustering against.
 func RandomReps(r *rand.Rand, n, k int) []int {

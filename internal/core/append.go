@@ -42,52 +42,22 @@ func (ix *Index) AppendRecords(features [][]float64) ([]int, error) {
 	}
 	reps := ix.Table.Reps
 	repMat := vecmath.GatherRows(ix.Embeddings, reps)
-	// With the quantized plane enabled, re-code the gathered representative
-	// rows under the trained params (the code map is deterministic, so these
-	// equal the stored plane rows) and scan codes first, reranking bound
-	// survivors exactly — bitwise identical neighbor lists either way.
-	quantized := ix.Quant.Enabled()
-	var repQ vecmath.QuantMatrix
-	if quantized {
-		var err error
-		if repQ, err = vecmath.QuantizeMatrix(repMat, ix.Quant.Params()); err != nil {
-			return nil, err
-		}
-	}
 	// Embed and scan in parallel into per-record slots, then append in
 	// record order so IDs and table rows stay sequential.
 	embs := vecmath.NewMatrix(len(features), ix.Embedder.Dim())
 	nbrLists := make([][]cluster.Neighbor, len(features))
-	stats := parallel.Map(ix.cfg.Parallelism, len(features), func(_ int, s parallel.Span) cluster.QuantScanStats {
-		var sc cluster.Scanner      // per-chunk scratch
-		var qc cluster.QuantScanner // per-chunk scratch (quantized path)
+	parallel.ForChunks(ix.cfg.Parallelism, len(features), func(_ int, s parallel.Span) {
+		var sc cluster.Scanner // per-chunk scratch
 		for i := s.Lo; i < s.Hi; i++ {
 			copy(embs.Row(i), ix.Embedder.Embed(features[i]))
-			dst := make([]cluster.Neighbor, 0, k)
-			if quantized {
-				nbrLists[i] = qc.ScanInto(dst, embs.Row(i), repMat, repQ, reps, k)
-			} else {
-				nbrLists[i] = sc.ScanInto(dst, embs.Row(i), repMat, reps, k)
-			}
+			nbrLists[i] = sc.ScanInto(make([]cluster.Neighbor, 0, k), embs.Row(i), repMat, reps, k)
 		}
-		return qc.Stats
 	})
 	ids := make([]int, len(features))
 	for i := range features {
 		ids[i] = ix.Embeddings.Rows()
 		ix.Embeddings.AppendRow(embs.Row(i))
-		if quantized {
-			// Appends under the trained params: rows outside the trained
-			// range widen the plane's decode-error bound, keeping every
-			// future scan bound valid.
-			ix.Quant.AppendRow(embs.Row(i))
-		}
 		ix.Table.Neighbors = append(ix.Table.Neighbors, nbrLists[i])
 	}
-	var total cluster.QuantScanStats
-	for _, st := range stats {
-		total.Add(st)
-	}
-	PublishQuantStats(ix.cfg.Telemetry, total)
 	return ids, nil
 }

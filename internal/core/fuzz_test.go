@@ -116,89 +116,60 @@ func FuzzLoadIndexFlat(f *testing.F) {
 	})
 }
 
-// FuzzLoadIndexQuant targets the quantized-plane frame: it re-frames a valid
-// snapshot with a fuzz-controlled quantEmbeddings payload (arbitrary shape,
-// param-array lengths, code-array length, and decode-error bound) and
-// requires Load to return a validated index or a typed error — never a panic
-// or a plane inconsistent with the embeddings it must mirror.
+// FuzzLoadIndexQuant pins the compatibility contract for the removed
+// quantized scan plane: old v3 writers emitted an "embeddings.quant" frame,
+// and any payload in that frame — the fixture's real one, forged frames of
+// the old shape with inconsistent parts, or arbitrary bytes — inside an
+// otherwise valid container must load to the same index as the file
+// without the frame.
 func FuzzLoadIndexQuant(f *testing.F) {
-	ix, err := fuzzSeedIndexValue()
+	data, err := readLegacyQuantFixture()
 	if err != nil {
 		f.Fatal(err)
 	}
-	rows, dim := ix.Embeddings.Rows(), ix.Embeddings.Dim()
+	orig := readFrames(f, data, indexKind)[legacyQuantFrame]
+	if orig == nil {
+		f.Fatalf("fixture carries no %q frame", legacyQuantFrame)
+	}
+	f.Add(orig)
+	want, err := strippedLegacyIndex()
+	if err != nil {
+		f.Fatal(err)
+	}
+	rows, dim := want.Embeddings.Rows(), want.Embeddings.Dim()
 	maxInt := int(^uint(0) >> 1)
-	f.Add(rows, dim, dim, dim, rows*dim, 0.01)
-	f.Add(rows, dim, dim-1, dim, rows*dim, 0.01)  // short scale array
-	f.Add(rows, dim, dim, dim+1, rows*dim, 0.01)  // long offset array
-	f.Add(rows, dim, dim, dim, rows*dim-1, 0.01)  // truncated codes
-	f.Add(rows+1, dim, dim, dim, rows*dim, 0.01)  // row-count mismatch vs embeddings
-	f.Add(-1, dim, dim, dim, 0, 0.01)             // negative shape
-	f.Add(maxInt/2+1, 4, 4, 4, 16, 0.01)          // rows*dim overflow
-	f.Add(rows, dim, dim, dim, rows*dim, -1.0)        // negative error bound
-	f.Add(rows, dim, dim, dim, rows*dim, math.Inf(1)) // non-finite error bound
-
-	f.Fuzz(func(t *testing.T, qrows, qdim, scaleLen, offsetLen, codesLen int, maxErr float64) {
-		if scaleLen < 0 || scaleLen > 1<<12 || offsetLen < 0 || offsetLen > 1<<12 ||
-			codesLen < 0 || codesLen > 1<<16 {
-			return // cap array allocations so the fuzzer can't OOM the host
-		}
-		scale := make([]float64, scaleLen)
-		for i := range scale {
-			scale[i] = 0.5
-		}
+	for _, qe := range []legacyQuantEmbeddings{
+		{Rows: rows, Dim: dim, Scale: make([]float64, dim-1), Offset: make([]float64, dim), Codes: make([]uint8, rows*dim)},   // short scale
+		{Rows: rows, Dim: dim, Scale: make([]float64, dim), Offset: make([]float64, dim+1), Codes: make([]uint8, rows*dim)},   // long offset
+		{Rows: rows, Dim: dim, Scale: make([]float64, dim), Offset: make([]float64, dim), Codes: make([]uint8, rows*dim-1)},   // truncated codes
+		{Rows: rows + 1, Dim: dim, Scale: make([]float64, dim), Offset: make([]float64, dim), Codes: make([]uint8, rows*dim)}, // row mismatch
+		{Rows: -1, Dim: dim},                        // negative shape
+		{Rows: maxInt/2 + 1, Dim: 4, MaxErr: 1},     // rows*dim overflow
+		{Rows: rows, Dim: dim, MaxErr: -1},          // negative error bound
+		{Rows: rows, Dim: dim, MaxErr: math.Inf(1)}, // non-finite error bound
+	} {
 		var buf bytes.Buffer
-		sw, err := snapshot.NewWriter(&buf, indexKind)
+		if err := gob.NewEncoder(&buf).Encode(qe); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte{})
+	f.Add([]byte("not a gob stream"))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if len(payload) > 1<<16 {
+			return // cap the frame so the fuzzer can't OOM the host
+		}
+		framed, err := rewriteFrame(data, indexKind, legacyQuantFrame, payload, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sections := []struct {
-			name string
-			v    any
-		}{
-			{"meta", indexMeta{K: ix.Table.K, Reps: ix.Table.Reps}},
-			{"neighbors", ix.Table.Neighbors},
-			{"annotations", ix.Annotations},
-			{embeddingsFlatFrame, flatEmbeddings{
-				Rows: ix.Embeddings.Rows(),
-				Dim:  ix.Embeddings.Dim(),
-				Data: ix.Embeddings.Data(),
-			}},
-			{"stats", ix.Stats},
-			{embeddingsQuantFrame, quantEmbeddings{
-				Rows:   qrows,
-				Dim:    qdim,
-				Scale:  scale,
-				Offset: make([]float64, offsetLen),
-				MaxErr: maxErr,
-				Codes:  make([]uint8, codesLen),
-			}},
-		}
-		for _, s := range sections {
-			if err := sw.Encode(s.name, s.v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Load(bytes.NewReader(buf.Bytes()))
+		got, err := Load(bytes.NewReader(framed))
 		if err != nil {
-			return
+			t.Fatalf("a %d-byte %q payload failed the load: %v", len(payload), legacyQuantFrame, err)
 		}
-		// Anything accepted must be a plane that exactly mirrors the
-		// embedding matrix, with internally consistent parts.
-		if !got.Quant.Enabled() {
-			t.Fatal("accepted a quant frame but returned a disabled plane")
-		}
-		if got.Quant.Rows() != got.Embeddings.Rows() || got.Quant.Dim() != got.Embeddings.Dim() {
-			t.Fatalf("accepted a %dx%d plane over %dx%d embeddings",
-				got.Quant.Rows(), got.Quant.Dim(), got.Embeddings.Rows(), got.Embeddings.Dim())
-		}
-		if qrows*qdim != codesLen || scaleLen != qdim || offsetLen != qdim {
-			t.Fatalf("accepted inconsistent quant parts: %dx%d, %d/%d params, %d codes",
-				qrows, qdim, scaleLen, offsetLen, codesLen)
-		}
+		assertSameAnswers(t, got, want)
 	})
 }
 

@@ -75,14 +75,10 @@ type Config struct {
 	// ANNProbe is the number of IVF cells probed per record when
 	// ApproxTable is set (default 4).
 	ANNProbe int
-	// Quantize trains a uint8 code plane over the final embeddings and
-	// scans it — instead of the float64 rows — in every candidate-generation
-	// sweep (FPF selection, table build, cracking, appends, IVF probing),
-	// reranking bound survivors through the exact kernels. The built index,
-	// cracked tables, and all query answers are bitwise identical with the
-	// plane on or off; the plane trades ~1/8 the scan bandwidth and resident
-	// scan memory for a small rerank overhead. Persisted as the v3
-	// embeddings.quant snapshot frame.
+	// Quantize selected the int8 quantized scan plane, which was removed:
+	// it was slower than the float scan it pruned. Build rejects true.
+	//
+	// Deprecated: every build scans the float plane; leave Quantize false.
 	Quantize bool
 	// Parallelism bounds the worker count for construction and propagation
 	// (<= 0 uses all CPUs). Results are bitwise identical at every value;
@@ -178,11 +174,6 @@ type BuildStats struct {
 	RepSelectWall, RepLabelWall, TableWall time.Duration
 	// TripletSteps is the number of optimizer steps taken (0 for TASTI-PT).
 	TripletSteps int
-	// QuantCandidates and QuantReranked account the quantized plane's
-	// pruning during construction (zero when Config.Quantize is off):
-	// code-plane rows examined, and the subset that survived the bound and
-	// was reranked through the exact kernels.
-	QuantCandidates, QuantReranked int64
 
 	// Reliability accounting (zero for a fault-free, un-resumed build):
 
@@ -229,13 +220,6 @@ type Index struct {
 	// (record = row), needed for cracking and appends. It flows by reference
 	// through build, query, snapshot, and serve layers.
 	Embeddings vecmath.Matrix
-	// Quant is the uint8 code plane of Embeddings (zero value when
-	// Config.Quantize was off): same rows, 1 byte per element, plus the
-	// trained scale/offset and decode-error bound. Scans stream it for
-	// candidate generation and rerank through Embeddings — see
-	// internal/cluster/quant.go. It follows Embeddings through snapshot,
-	// shard views, cloning, and appends.
-	Quant vecmath.QuantMatrix
 	// Table is the min-k distance table over the representatives.
 	Table *cluster.Table
 	// Annotations caches the target-labeler output for every representative
@@ -413,22 +397,6 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 	sp.End()
 	stats.EmbedWall += time.Since(embedStart)
 
-	// Quantized plane: trained over the final embeddings, then streamed by
-	// every candidate-generation sweep below in place of the float64 rows.
-	// Pure pruning — every admission decision reranks through the exact
-	// kernels — so everything downstream is bitwise identical either way.
-	var quant vecmath.QuantMatrix
-	var quantStats cluster.QuantScanStats
-	if cfg.Quantize {
-		sp = cfg.TraceSpan.Child("embed/quantize")
-		var err error
-		quant, err = vecmath.QuantizeMatrix(embeddings, vecmath.TrainQuantParams(embeddings))
-		if err != nil {
-			return nil, fmt.Errorf("core: quantizing embeddings: %w", err)
-		}
-		sp.End()
-	}
-
 	// Phase 4: representative selection and annotation, then the distance
 	// table.
 	clusterStart := time.Now()
@@ -438,18 +406,12 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 	// The FPF sweep computes every representative-to-record distance the
 	// exact table build would recompute. When the matrix fits the retention
 	// budget, keep it and build the table from it directly; the gate depends
-	// only on the configured sizes (with Quantize on, it additionally
-	// requires the retained cache not to out-cost the bytes the plane
-	// saves), and both table paths are bitwise identical, so this is purely
-	// a bandwidth optimization.
+	// only on the record and representative counts, and both table paths are
+	// bitwise identical, so this is purely a bandwidth optimization.
 	var repDists vecmath.Matrix
 	if cfg.FPFCluster {
-		if !cfg.ApproxTable && cluster.DistCacheFitsPlane(ds.Len(), cfg.NumReps, cfg.EmbedDim, cfg.Quantize) {
+		if !cfg.ApproxTable && cluster.DistCacheFits(ds.Len(), cfg.NumReps) {
 			reps, repDists = cluster.FPFMixedParDists(repRand, embeddings, cfg.NumReps, cfg.RandomRepFraction, cfg.Parallelism)
-		} else if cfg.Quantize {
-			var st cluster.QuantScanStats
-			reps, st = cluster.FPFMixedParQuant(repRand, embeddings, quant, cfg.NumReps, cfg.RandomRepFraction, cfg.Parallelism)
-			quantStats.Add(st)
 		} else {
 			reps = cluster.FPFMixedPar(repRand, embeddings, cfg.NumReps, cfg.RandomRepFraction, cfg.Parallelism)
 		}
@@ -564,7 +526,6 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 		annCfg := ann.DefaultConfig(len(liveReps), cfg.Seed)
 		annCfg.Parallelism = cfg.Parallelism
 		annCfg.Telemetry = cfg.Telemetry
-		annCfg.Quantize = cfg.Quantize
 		approx, err := ann.BuildTableApprox(embeddings, liveReps, tableK, nprobe, annCfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: approximate distance table: %w", err)
@@ -576,11 +537,6 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 		// rows, so the cached path only fires when every rep survived.
 		table = cluster.BuildTableFromDists(repDists, liveReps, tableK, cfg.Parallelism)
 		sp.SetAttr("mode", "exact-cached")
-	} else if cfg.Quantize {
-		var st cluster.QuantScanStats
-		table, st = cluster.BuildTableQuantPar(embeddings, quant, liveReps, tableK, cfg.Parallelism)
-		quantStats.Add(st)
-		sp.SetAttr("mode", "exact-quant")
 	} else {
 		table = cluster.BuildTablePar(embeddings, liveReps, tableK, cfg.Parallelism)
 		sp.SetAttr("mode", "exact")
@@ -588,15 +544,12 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 	sp.End()
 	stats.TableWall = time.Since(tableStart)
 	stats.ClusterWall = time.Since(clusterStart)
-	stats.QuantCandidates = quantStats.Candidates
-	stats.QuantReranked = quantStats.Reranked
 	finishStats()
 	publishBuildMetrics(cfg.Telemetry, stats)
 
 	return &Index{
 		Embedder:    embedder,
 		Embeddings:  embeddings,
-		Quant:       quant,
 		Table:       table,
 		Annotations: annotations,
 		Stats:       stats,
@@ -628,8 +581,14 @@ func checkConfig(cfg Config, ds *dataset.Dataset) error {
 	if cfg.CheckpointEvery > 0 && cfg.CheckpointSink == nil {
 		return errors.New("core: CheckpointEvery needs a CheckpointSink")
 	}
+	if cfg.Quantize {
+		return errQuantizeRemoved
+	}
 	return nil
 }
+
+// errQuantizeRemoved rejects the deprecated Config.Quantize.
+var errQuantizeRemoved = errors.New("core: Config.Quantize is not supported: the int8 quantized scan plane was removed and every build scans the float plane")
 
 // Config returns the configuration the index was built with.
 func (ix *Index) Config() Config { return ix.cfg }
@@ -655,11 +614,6 @@ func (ix *Index) Crack(id int, ann dataset.Annotation) {
 		return
 	}
 	ix.Annotations[id] = ann
-	if ix.Quant.Enabled() {
-		st := ix.Table.AddRepresentativeEmbQuant(ix.Embeddings, ix.Quant, id, ix.Embeddings.Row(id), ix.cfg.Parallelism)
-		PublishQuantStats(ix.cfg.Telemetry, st)
-		return
-	}
 	ix.Table.AddRepresentativePar(ix.Embeddings, id, ix.cfg.Parallelism)
 }
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -91,6 +93,25 @@ func TestBuildConfigValidation(t *testing.T) {
 	}
 	if _, err := Build(PretrainedConfig(5, 1), &dataset.Dataset{}, lab); err == nil {
 		t.Error("empty dataset should fail")
+	}
+}
+
+// TestBuildRejectsQuantize pins the deprecated Quantize field: the plane it
+// selected is gone, so a build asking for it fails instead of silently
+// scanning the float plane.
+func TestBuildRejectsQuantize(t *testing.T) {
+	ds, err := dataset.Generate("night-street", 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := PretrainedConfig(10, 1)
+	cfg.Quantize = true
+	_, err = Build(cfg, ds, labeler.NewOracle(ds, "o", labeler.MaskRCNNCost))
+	if !errors.Is(err, errQuantizeRemoved) {
+		t.Fatalf("Build with Quantize: err = %v, want %v", err, errQuantizeRemoved)
+	}
+	if !strings.Contains(err.Error(), "removed") {
+		t.Fatalf("error %q does not say the plane was removed", err)
 	}
 }
 

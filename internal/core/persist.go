@@ -38,14 +38,6 @@ const (
 	embeddingsLegacyFrame = "embeddings"
 )
 
-// embeddingsQuantFrame is the optional trailing frame carrying the quantized
-// scan plane (v3): per-dimension quantization params plus the uint8 code
-// matrix. Like the embedder frame it is optional on both sides — pre-quant
-// readers skip it in the trailing-frame walk, and snapshots written without
-// the plane load with Quant disabled, in which case a quantize-configured
-// process simply scans the float plane.
-const embeddingsQuantFrame = "embeddings.quant"
-
 // embedderFrame is the optional trailing frame carrying the embedding model
 // (embed.Snapshot), so a restored index can keep appending records with
 // bitwise-identical embeddings — the prerequisite for WAL replay after a
@@ -69,18 +61,6 @@ type indexMeta struct {
 type flatEmbeddings struct {
 	Rows, Dim int
 	Data      []float64
-}
-
-// quantEmbeddings is the on-disk form of the quantized plane: the shape, the
-// trained per-dimension params, the tracked decode-error bound, and the code
-// bytes. Everything QuantMatrixFromParts needs to rebuild the plane with the
-// scan bounds intact.
-type quantEmbeddings struct {
-	Rows, Dim int
-	Scale     []float64
-	Offset    []float64
-	MaxErr    float64
-	Codes     []uint8
 }
 
 // gobSnapshot is the legacy (pre-framing) on-disk form: one bare
@@ -122,20 +102,6 @@ func (ix *Index) Save(w io.Writer) error {
 	}
 	for _, s := range sections {
 		if err := sw.Encode(s.name, s.v); err != nil {
-			return fmt.Errorf("core: saving index: %w", err)
-		}
-	}
-	if ix.Quant.Enabled() {
-		p := ix.Quant.Params()
-		qe := quantEmbeddings{
-			Rows:   ix.Quant.Rows(),
-			Dim:    ix.Quant.Dim(),
-			Scale:  p.Scale,
-			Offset: p.Offset,
-			MaxErr: ix.Quant.MaxErr(),
-			Codes:  ix.Quant.Codes(),
-		}
-		if err := sw.Encode(embeddingsQuantFrame, qe); err != nil {
 			return fmt.Errorf("core: saving index: %w", err)
 		}
 	}
@@ -213,7 +179,6 @@ func Load(r io.Reader) (*Index, error) {
 	var snap gobSnapshot
 	var embeddings vecmath.Matrix
 	var embedder embed.Embedder
-	var quant vecmath.QuantMatrix
 	if framed {
 		sr, err := snapshot.NewReader(replay, indexKind)
 		if err != nil {
@@ -238,8 +203,10 @@ func Load(r io.Reader) (*Index, error) {
 		}
 		// Walk every remaining frame through the trailer, so the whole-file
 		// checksum is verified before any decoded state is trusted. Optional
-		// trailing frames (today: the quantized plane and the embedder) are
-		// decoded by name; unknown ones are skipped for forward compatibility.
+		// trailing frames (today: the embedder) are decoded by name; unknown
+		// ones are skipped for forward compatibility, as is the
+		// "embeddings.quant" frame older v3 writers emitted for the removed
+		// quantized scan plane.
 		for {
 			name, payload, err := sr.Next()
 			if err == io.EOF {
@@ -248,39 +215,15 @@ func Load(r io.Reader) (*Index, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: loading index: %w", err)
 			}
-			switch name {
-			case embedderFrame:
-				var es embed.Snapshot
-				if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&es); err != nil {
-					return nil, fmt.Errorf("core: loading index: decoding frame %q: %w", name, err)
-				}
-				if embedder, err = es.Embedder(); err != nil {
-					return nil, fmt.Errorf("core: loading index: %w", err)
-				}
-			case embeddingsQuantFrame:
-				var qe quantEmbeddings
-				if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&qe); err != nil {
-					return nil, fmt.Errorf("core: loading index: decoding frame %q: %w", name, err)
-				}
-				quant, err = vecmath.QuantMatrixFromParts(qe.Codes, qe.Rows, qe.Dim,
-					vecmath.QuantParams{Scale: qe.Scale, Offset: qe.Offset}, qe.MaxErr)
-				if err != nil {
-					return nil, fmt.Errorf("core: loading index: frame %q: %w", name, err)
-				}
-				if !quant.Enabled() {
-					// Save only writes trained planes; a frame decoding to the
-					// disabled zero plane (gob drops empty parameter arrays) is
-					// a degenerate artifact, not a usable scan plane.
-					return nil, fmt.Errorf("core: loading index: frame %q: empty quantization parameters", name)
-				}
+			if name != embedderFrame {
+				continue
 			}
-		}
-		if quant.Enabled() {
-			// The plane must mirror the float matrix row for row, or scan
-			// pruning would consult codes for the wrong records.
-			if quant.Rows() != embeddings.Rows() || quant.Dim() != embeddings.Dim() {
-				return nil, fmt.Errorf("core: loading index: quantized plane is %dx%d but embeddings are %dx%d",
-					quant.Rows(), quant.Dim(), embeddings.Rows(), embeddings.Dim())
+			var es embed.Snapshot
+			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&es); err != nil {
+				return nil, fmt.Errorf("core: loading index: decoding frame %q: %w", name, err)
+			}
+			if embedder, err = es.Embedder(); err != nil {
+				return nil, fmt.Errorf("core: loading index: %w", err)
 			}
 		}
 	} else {
@@ -304,7 +247,6 @@ func Load(r io.Reader) (*Index, error) {
 	ix := &Index{
 		Embedder:   embedder,
 		Embeddings: embeddings,
-		Quant:      quant,
 		Table: &cluster.Table{
 			K:         snap.K,
 			Reps:      snap.Reps,

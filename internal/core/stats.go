@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/telemetry"
 )
 
@@ -37,21 +36,6 @@ func publishBuildMetrics(reg *telemetry.Registry, s BuildStats) {
 	reg.Gauge("tasti_build_resumed_labels").Set(float64(s.ResumedLabels))
 	reg.Gauge(`tasti_build_degraded_records{kind="reps"}`).Set(float64(len(s.DegradedReps)))
 	reg.Gauge(`tasti_build_degraded_records{kind="train"}`).Set(float64(len(s.DegradedTrain)))
-	reg.Counter("tasti_quant_candidates_total").Add(s.QuantCandidates)
-	reg.Counter("tasti_quant_rerank_total").Add(s.QuantReranked)
-}
-
-// PublishQuantStats pushes one quantized scan's pruning accounting into the
-// registry (no-op when reg is nil): candidates examined on the code plane
-// and the subset reranked through the exact kernels. Crack, appends, and
-// the shard layer call it per operation; the live rerank rate is
-// tasti_quant_rerank_total / tasti_quant_candidates_total.
-func PublishQuantStats(reg *telemetry.Registry, st cluster.QuantScanStats) {
-	if reg == nil || st.Candidates == 0 {
-		return
-	}
-	reg.Counter("tasti_quant_candidates_total").Add(st.Candidates)
-	reg.Counter("tasti_quant_rerank_total").Add(st.Reranked)
 }
 
 // String renders the build's cost breakdown as a phase-timing table — the

@@ -183,11 +183,6 @@ func (r *Refresher) refresh(ctx context.Context) (RefreshStats, error) {
 		clone.Crack(c.id, ann)
 		st.Cracked++
 	}
-	// Still off the lock: refit the quantized scan plane (no-op when the
-	// index runs float-only). Drifted appends quantized under stale build
-	// params widen the plane's pruning bound; retraining over the clone's
-	// current rows restores a tight grid without changing any result.
-	clone.Requantize()
 
 	// Phase 3 (under lock): catch up on records appended meanwhile, then
 	// swap. The catch-up rows keep their already-computed embeddings and are

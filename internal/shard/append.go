@@ -95,33 +95,13 @@ func (x *Index) appendEmbedded(embs vecmath.Matrix) []int {
 		k = len(reps)
 	}
 	repMat := x.gatherRepEmbeddings(reps, embs.Dim())
-	// With the quantized plane enabled, re-code the gathered representative
-	// rows under the trained params (the code map is deterministic, so these
-	// equal the stored plane rows) and scan codes first, reranking bound
-	// survivors exactly — neighbor lists stay bitwise identical either way.
-	quantized := last.Quant.Enabled()
-	var repQ vecmath.QuantMatrix
-	if quantized {
-		var err error
-		if repQ, err = vecmath.QuantizeMatrix(repMat, last.Quant.Params()); err != nil {
-			// A live shard's plane always has params valid for its dim.
-			panic(fmt.Sprintf("shard: appending records: %v", err))
-		}
-	}
 	n := embs.Rows()
 	nbrLists := make([][]cluster.Neighbor, n)
-	qstats := parallel.Map(x.par, n, func(_ int, s parallel.Span) cluster.QuantScanStats {
-		var sc cluster.Scanner      // per-chunk scratch
-		var qc cluster.QuantScanner // per-chunk scratch (quantized path)
+	parallel.ForChunks(x.par, n, func(_ int, s parallel.Span) {
+		var sc cluster.Scanner // per-chunk scratch
 		for i := s.Lo; i < s.Hi; i++ {
-			dst := make([]cluster.Neighbor, 0, k)
-			if quantized {
-				nbrLists[i] = qc.ScanInto(dst, embs.Row(i), repMat, repQ, reps, k)
-			} else {
-				nbrLists[i] = sc.ScanInto(dst, embs.Row(i), repMat, reps, k)
-			}
+			nbrLists[i] = sc.ScanInto(make([]cluster.Neighbor, 0, k), embs.Row(i), repMat, reps, k)
 		}
-		return qc.Stats
 	})
 
 	// Build the replacement shard before publishing anything. The matrix and
@@ -130,25 +110,17 @@ func (x *Index) appendEmbedded(embs vecmath.Matrix) []int {
 	// writes beyond the previous generation's length are invisible to any
 	// reader still holding the old *Shard.
 	m := last.Embeddings
-	q := last.Quant
 	nbrs := last.Table.Neighbors
 	ids := make([]int, n)
 	for i := 0; i < n; i++ {
 		ids[i] = x.total + i
 		m.AppendRow(embs.Row(i))
-		if quantized {
-			// Appends under the trained params: rows outside the trained
-			// range widen the plane's decode-error bound, keeping every
-			// future scan bound valid.
-			q.AppendRow(embs.Row(i))
-		}
 		nbrs = append(nbrs, nbrLists[i])
 	}
 	next := &Shard{
 		Lo:         last.Lo,
 		Hi:         last.Hi + n,
 		Embeddings: m,
-		Quant:      q,
 		Table: &cluster.Table{
 			K:         last.Table.K,
 			Reps:      last.Table.Reps,
@@ -158,11 +130,6 @@ func (x *Index) appendEmbedded(embs vecmath.Matrix) []int {
 	}
 	x.shards[len(x.shards)-1].Store(next)
 	x.total += n
-	var total cluster.QuantScanStats
-	for _, st := range qstats {
-		total.Add(st)
-	}
-	core.PublishQuantStats(x.tel, total)
 	x.PublishMetrics()
 	return ids
 }

@@ -45,7 +45,6 @@ func (x *Index) Clone() *Index {
 			Lo:         sh.Lo,
 			Hi:         sh.Hi,
 			Embeddings: m,
-			Quant:      sh.Quant.Clone(),
 			Table: &cluster.Table{
 				K:         sh.Table.K,
 				Reps:      append([]int(nil), sh.Table.Reps...),
@@ -55,40 +54,4 @@ func (x *Index) Clone() *Index {
 		})
 	}
 	return c
-}
-
-// Requantize retrains the quantized scan plane's parameters over the index's
-// current embedding rows and re-codes every shard under them. A no-op when
-// the index was built without quantization.
-//
-// Appends after build quantize under the build-time parameters; rows outside
-// the trained range widen the plane's decode-error bound, which keeps scans
-// correct but prunes less. The drift refresher calls Requantize on its clone
-// (off the query lock) so a drifted corpus gets a freshly fitted grid — a
-// pure pruning improvement with zero effect on any result, since every scan
-// reranks bound survivors against the unchanged float rows.
-//
-// Shards are replaced copy-on-write, but Requantize reads and mutates index
-// state and must be serialized against other mutation like Crack.
-func (x *Index) Requantize() {
-	if !x.shards[0].Load().Quant.Enabled() {
-		return
-	}
-	mats := make([]vecmath.Matrix, len(x.shards))
-	olds := make([]*Shard, len(x.shards))
-	for s := range x.shards {
-		olds[s] = x.shards[s].Load()
-		mats[s] = olds[s].Embeddings
-	}
-	params := vecmath.TrainQuantParamsOver(mats)
-	for s, sh := range olds {
-		q, err := vecmath.QuantizeMatrix(sh.Embeddings, params)
-		if err != nil {
-			// A live shard's matrix and freshly trained params always agree.
-			panic(fmt.Sprintf("shard: requantizing shard %d: %v", s, err))
-		}
-		next := *sh
-		next.Quant = q
-		x.shards[s].Store(&next)
-	}
 }

@@ -7,40 +7,15 @@ import "sort"
 // follow the usual serialization rule (the caller holds the query
 // semaphore); none of them feed back into query execution.
 
-// MemoryStats describes the resident scan-plane memory across all shards:
-// the float64 embedding matrix every path can fall back to, and the uint8
-// code plane the candidate-generation scans actually stream when
-// quantization is enabled.
-type MemoryStats struct {
-	// FloatBytes is the resident float64 embedding plane, 8 bytes/element.
-	FloatBytes int64
-	// QuantBytes is the resident uint8 code plane, 1 byte/element; zero when
-	// the index was built without quantization.
-	QuantBytes int64
-}
-
-// Quantized reports whether a code plane is resident.
-func (m MemoryStats) Quantized() bool { return m.QuantBytes > 0 }
-
-// CompressionRatio returns FloatBytes/QuantBytes — how much smaller the
-// plane the scans stream is than the float rows (8.0 for uint8 codes) — or 0
-// when no plane is resident.
-func (m MemoryStats) CompressionRatio() float64 {
-	if m.QuantBytes == 0 {
-		return 0
-	}
-	return float64(m.FloatBytes) / float64(m.QuantBytes)
-}
-
-// MemoryStats sums the scan-plane bytes across every live shard.
-func (x *Index) MemoryStats() MemoryStats {
-	var m MemoryStats
+// EmbeddingBytes sums the resident float64 embedding rows across every live
+// shard: the plane every candidate-generation scan streams.
+func (x *Index) EmbeddingBytes() int64 {
+	var n int64
 	for s := range x.shards {
 		sh := x.shards[s].Load()
-		m.FloatBytes += 8 * int64(sh.Embeddings.Rows()) * int64(sh.Embeddings.Dim())
-		m.QuantBytes += sh.Quant.Bytes()
+		n += 8 * int64(sh.Embeddings.Rows()) * int64(sh.Embeddings.Dim())
 	}
-	return m
+	return n
 }
 
 // RecordSkew returns max/mean of per-shard record counts — 1.0 means

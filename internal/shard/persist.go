@@ -101,7 +101,6 @@ func (x *Index) Save(w io.Writer) error {
 		buf.Reset()
 		inner := &core.Index{
 			Embeddings:  sh.Embeddings,
-			Quant:       sh.Quant,
 			Table:       sh.Table,
 			Annotations: sh.Annotations,
 			Stats:       x.Stats,
@@ -248,7 +247,6 @@ func decodeShard(payload []byte, r shardRange, total int) (*Shard, error) {
 		Lo:          r.Lo,
 		Hi:          r.Hi,
 		Embeddings:  inner.Embeddings,
-		Quant:       inner.Quant,
 		Table:       inner.Table,
 		Annotations: inner.Annotations,
 	}

@@ -81,11 +81,6 @@ type Shard struct {
 	Lo, Hi int
 	// Embeddings holds rows Lo..Hi-1 of the corpus matrix, locally indexed.
 	Embeddings vecmath.Matrix
-	// Quant is the shard's view of the quantized scan plane — the same row
-	// range as Embeddings, sharing the corpus plane's codes and trained
-	// params. The zero value (source index built without Config.Quantize)
-	// disables quantized scans and the shard cracks the float rows directly.
-	Quant vecmath.QuantMatrix
 	// Table is the shard-local min-k table: Neighbors[i] describes record
 	// Lo+i, naming corpus-global representative IDs.
 	Table *cluster.Table
@@ -107,11 +102,6 @@ func (sh *Shard) Validate() error {
 	if n := sh.NumRecords(); sh.Embeddings.Rows() != n || len(sh.Table.Neighbors) != n {
 		return fmt.Errorf("shard: range [%d,%d) has %d embedding rows and %d neighbor lists",
 			sh.Lo, sh.Hi, sh.Embeddings.Rows(), len(sh.Table.Neighbors))
-	}
-	if sh.Quant.Enabled() &&
-		(sh.Quant.Rows() != sh.NumRecords() || sh.Quant.Dim() != sh.Embeddings.Dim()) {
-		return fmt.Errorf("shard: range [%d,%d) has a %dx%d quantized plane over %dx%d embeddings",
-			sh.Lo, sh.Hi, sh.Quant.Rows(), sh.Quant.Dim(), sh.Embeddings.Rows(), sh.Embeddings.Dim())
 	}
 	return sh.Table.Validate()
 }
@@ -189,11 +179,6 @@ func Split(ix *core.Index, n int) (*Index, error) {
 				Neighbors: ix.Table.Neighbors[lo:hi:hi],
 			},
 			Annotations: maps.Clone(ix.Annotations),
-		}
-		if ix.Quant.Enabled() {
-			// Zero-copy view of the corpus code plane, same range as the
-			// float view above.
-			sh.Quant = ix.Quant.RowRange(lo, hi)
 		}
 		x.shards[s].Store(sh)
 	}
@@ -504,17 +489,11 @@ func (x *Index) Crack(id int, ann dataset.Annotation) {
 		return
 	}
 	repEmb := owner.Embeddings.Row(id - owner.Lo)
-	var qstats cluster.QuantScanStats
 	for s := range x.shards {
 		sh := x.shards[s].Load()
 		sh.Annotations[id] = ann
-		if sh.Quant.Enabled() {
-			qstats.Add(sh.Table.AddRepresentativeEmbQuant(sh.Embeddings, sh.Quant, id, repEmb, x.par))
-		} else {
-			sh.Table.AddRepresentativeEmb(sh.Embeddings, id, repEmb, x.par)
-		}
+		sh.Table.AddRepresentativeEmb(sh.Embeddings, id, repEmb, x.par)
 	}
-	core.PublishQuantStats(x.tel, qstats)
 	x.PublishMetrics()
 }
 

@@ -62,10 +62,46 @@ func sameInts(t *testing.T, name string, got, want []int) {
 
 // TestShardCountInvariance is the headline property: every scatter-gather
 // query path produces output bitwise identical to the unsharded index, at
-// every shard count and every worker count.
+// every shard count and every worker count — as built, and after the
+// crack-then-append sequence a live server applies.
 func TestShardCountInvariance(t *testing.T) {
 	const n, reps = 500, 60
+	ds, err := dataset.Generate("night-street", n, 1) // buildIndex's corpus
+	if err != nil {
+		t.Fatal(err)
+	}
+	anns := map[int]dataset.Annotation{}
+	for id := 3; id < n; id += 41 {
+		anns[id] = ds.Truth[id]
+	}
+	features := extraFeatures(t, 60, 8)
+	crackThenAppend := func(t *testing.T, ix evolvable) {
+		t.Helper()
+		ix.CrackAll(anns)
+		if _, err := ix.AppendRecords(features); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("as-built", func(t *testing.T) {
+		shardCountInvariance(t, n, reps, []int{1, 2, 3, 4}, func(*testing.T, evolvable) {})
+	})
+	t.Run("crack-then-append", func(t *testing.T) {
+		shardCountInvariance(t, n, reps, []int{1, 2, 4}, crackThenAppend)
+	})
+}
+
+// evolvable is the mutation surface core.Index and shard.Index share.
+type evolvable interface {
+	CrackAll(map[int]dataset.Annotation)
+	AppendRecords([][]float64) ([]int, error)
+}
+
+// shardCountInvariance evolves an unsharded index and, at each shard count
+// and worker count 1 and 4, a freshly built sharded twin the same way, then
+// compares every scatter-gather query path bitwise.
+func shardCountInvariance(t *testing.T, n, reps int, shardCounts []int, evolve func(*testing.T, evolvable)) {
 	base, _ := buildIndex(t, n, reps)
+	evolve(t, base)
 	score := core.CountScore("car")
 	wantProxy, err := base.Propagate(score)
 	if err != nil {
@@ -78,7 +114,7 @@ func TestShardCountInvariance(t *testing.T) {
 	wantOrder := limitq.Order(wantScores, wantDists)
 	wantProxyOrder := limitq.Order(wantProxy, nil)
 
-	for _, shards := range []int{1, 2, 3, 4} {
+	for _, shards := range shardCounts {
 		for _, par := range []int{1, 4} {
 			ix, _ := buildIndex(t, n, reps)
 			x, err := shard.Split(ix, shards)
@@ -86,6 +122,12 @@ func TestShardCountInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			x.SetParallelism(par)
+			evolve(t, x)
+			for s := 0; s < x.NumShards(); s++ {
+				if err := x.Shard(s).Validate(); err != nil {
+					t.Fatalf("shards=%d par=%d: shard %d invalid: %v", shards, par, s, err)
+				}
+			}
 
 			got, err := x.Propagate(score)
 			if err != nil {

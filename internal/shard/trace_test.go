@@ -118,3 +118,23 @@ func TestHealthStats(t *testing.T) {
 		}
 	}
 }
+
+// TestShardEmbeddingBytes: the resident float plane sums to 8 bytes per
+// element across shards, and appended rows count too.
+func TestShardEmbeddingBytes(t *testing.T) {
+	ix, _ := buildIndex(t, 300, 30)
+	dim := ix.Embeddings.Dim()
+	x, err := shard.Split(ix, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := x.EmbeddingBytes(), int64(8*300*dim); got != want {
+		t.Fatalf("EmbeddingBytes = %d, want %d", got, want)
+	}
+	if _, err := x.AppendRecords(extraFeatures(t, 20, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := x.EmbeddingBytes(), int64(8*320*dim); got != want {
+		t.Fatalf("EmbeddingBytes after append = %d, want %d", got, want)
+	}
+}

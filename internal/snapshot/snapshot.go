@@ -64,12 +64,12 @@ var Magic = [8]byte{'T', 'A', 'S', 'T', 'I', 'S', 'N', 'P'}
 //	     row-major frame named "embeddings.flat" (rows, dim, backing
 //	     array). v1 files remain readable; readers pick the decoder by
 //	     frame name.
-//	v3 — quantized scan plane: index snapshots may carry an optional
+//	v3 — quantized scan plane: index snapshots could carry an optional
 //	     trailing frame named "embeddings.quant" (per-dimension scale and
-//	     offset, decode-error bound, uint8 code matrix). v1/v2 files
-//	     remain readable — the frame is simply absent; v2 readers would
-//	     skip it as an unknown trailing frame, but the version is bumped
-//	     so operators can tell which builds materialize the plane on load.
+//	     offset, decode-error bound, uint8 code matrix). The plane has
+//	     since been removed: writers no longer emit the frame, and readers
+//	     skip it like any unknown trailing frame, after the whole-file
+//	     checksum covers it. v1/v2 files remain readable.
 const Version uint32 = 3
 
 // MinVersion is the oldest container-format version this build still reads.

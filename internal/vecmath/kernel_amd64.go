@@ -56,38 +56,6 @@ func dotKernel(a, b []float64) float64 {
 	return dotGeneric(a, b)
 }
 
-// maxAVXCodeDim caps the row width the AVX2 code-distance kernel accepts.
-// Each 32-bit lane accumulates one VPMADDWD result (at most 2*255² =
-// 130050) per 16-byte block, so a lane stays below 2³¹ while dim/16 *
-// 130050 < 2³¹, i.e. dim < ~264k; 2¹⁷ leaves a 2× margin. Wider rows fall
-// back to the generic int64 loop — both paths are exact integer arithmetic,
-// so the dispatch never affects results, only speed.
-const maxAVXCodeDim = 1 << 17
-
-// sqCodeDistBatchKernel dispatches the one-to-many code-distance sweep over
-// the quantized plane: dst[r] is the squared integer distance from q to the
-// r-th len(q)-sized code row of data. Unlike the float kernels the result is
-// an exact integer, so generic and AVX2 paths agree to the bit trivially.
-func sqCodeDistBatchKernel(q, data []uint8, dst []int64) {
-	if useAVX && len(q) <= maxAVXCodeDim {
-		sqCodeDistBatchAVX(q, data, dst)
-		return
-	}
-	d := len(q)
-	for r := range dst {
-		dst[r] = sqCodeDistGeneric(q, data[r*d:r*d+d])
-	}
-}
-
-// sqCodeDistBatchAVX is the AVX2 one-to-many squared code distance:
-// per 16-byte block, bytes widen to i16 (VPMOVZXBW), differences stay in
-// i16 range (VPSUBW), and VPMADDWD squares-and-pairs into eight i32 lanes
-// accumulated with VPADDD; the reduction widens lanes to i64 before summing
-// and a scalar tail handles len%16 bytes.
-//
-//go:noescape
-func sqCodeDistBatchAVX(q, data []uint8, dst []int64)
-
 // sqL2AVX computes the squared L2 distance with AVX2+FMA: 16 float64 per
 // iteration into four independent YMM accumulators, combined in a fixed
 // order (accumulators, then lanes low-to-high, then a scalar tail).

@@ -199,86 +199,6 @@ batchdone:
 	VZEROUPPER
 	RET
 
-// func sqCodeDistBatchAVX(q, data []uint8, dst []int64)
-//
-// One-to-many squared code distance over the quantized plane: dst[r] = sum
-// of squared byte differences between q and the r-th len(q)-sized code row
-// of data. Per 16-byte block: VPMOVZXBW widens both sides to sixteen i16,
-// VPSUBW takes differences (range ±255, exact in i16), VPMADDWD squares and
-// pair-sums into eight i32 lanes accumulated with VPADDD. Lane totals stay
-// below 2³¹ for len(q) <= maxAVXCodeDim (the Go dispatch guards this); the
-// reduction zero-extends lanes to i64 before summing so the final total is
-// exact at any row count, and a scalar tail covers len%16 bytes. Integer
-// arithmetic throughout — bitwise identical to the generic loop.
-TEXT ·sqCodeDistBatchAVX(SB), NOSPLIT, $0-72
-	MOVQ q_base+0(FP), R8
-	MOVQ q_len+8(FP), CX
-	MOVQ data_base+24(FP), DI
-	MOVQ dst_base+48(FP), DX
-	MOVQ dst_len+56(FP), R9
-	TESTQ R9, R9
-	JZ   qcdone
-	MOVQ CX, R10
-	SHRQ $4, R10    // blocks of 16 bytes per row
-	MOVQ CX, R11
-	ANDQ $15, R11   // tail bytes per row
-
-qcrow:
-	MOVQ R8, SI
-	VPXOR Y0, Y0, Y0
-	MOVQ R10, AX
-	TESTQ AX, AX
-	JZ   qcreduce
-
-qcloop:
-	VPMOVZXBW (SI), Y4
-	VPMOVZXBW (DI), Y5
-	VPSUBW Y5, Y4, Y4
-	VPMADDWD Y4, Y4, Y4
-	VPADDD Y4, Y0, Y0
-	ADDQ $16, SI
-	ADDQ $16, DI
-	DECQ AX
-	JNZ  qcloop
-
-qcreduce:
-	// Widen the eight i32 lanes to i64 (they are non-negative, so
-	// zero-extension is exact) and fold: high xmm onto low, then the two
-	// remaining quadwords.
-	VEXTRACTI128 $1, Y0, X1
-	VPMOVZXDQ X0, Y2
-	VPMOVZXDQ X1, Y3
-	VPADDQ Y3, Y2, Y2
-	VEXTRACTI128 $1, Y2, X3
-	VPADDQ X3, X2, X2
-	VPSRLDQ $8, X2, X3
-	VPADDQ X3, X2, X2
-	VMOVQ X2, R12
-	MOVQ R11, BX
-	TESTQ BX, BX
-	JZ   qcstore
-
-qctail:
-	MOVBLZX (SI), R13
-	MOVBLZX (DI), R14
-	SUBQ R14, R13
-	IMULQ R13, R13
-	ADDQ R13, R12
-	INCQ SI
-	INCQ DI
-	DECQ BX
-	JNZ  qctail
-
-qcstore:
-	MOVQ R12, (DX)
-	ADDQ $8, DX
-	DECQ R9
-	JNZ  qcrow
-
-qcdone:
-	VZEROUPPER
-	RET
-
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -19,10 +19,3 @@ func sqL2BatchKernel(q, data, dst []float64) {
 }
 
 func dotKernel(a, b []float64) float64 { return dotGeneric(a, b) }
-
-func sqCodeDistBatchKernel(q, data []uint8, dst []int64) {
-	d := len(q)
-	for r := range dst {
-		dst[r] = sqCodeDistGeneric(q, data[r*d:r*d+d])
-	}
-}
